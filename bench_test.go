@@ -1096,6 +1096,46 @@ func BenchmarkEngineGet(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLookupHotKey measures Lookup of one key holding 1000
+// values on top of a 20k-pair store: the head of a Zipf workload, whose
+// posting list is long, where BenchmarkEngineGet only ever reads one value
+// per key.
+func BenchmarkEngineLookupHotKey(b *testing.B) {
+	for _, engine := range engineBenchKinds {
+		b.Run(engine, func(b *testing.B) {
+			const values = 1000
+			s := benchEngineStore(b, engine, 20000)
+			hot := FloatKey(0.37503) // between two preloaded keys
+			// Insert in a scattered value order, as a posting list grows.
+			for i := 0; i < values; i++ {
+				s.Insert(replication.Item{Key: hot, Value: fmt.Sprintf("d%04d", i*389%values)})
+			}
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := s.Lookup(hot); len(got) != values {
+					b.Fatalf("lookup returned %d values, want %d", len(got), values)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKeyString measures rendering a full-depth key as its bit string,
+// which the store and the gate do once per key or item they touch.
+func BenchmarkKeyString(b *testing.B) {
+	k := FloatKey(0.6180339887)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(k.String()) != KeyDepth {
+			b.Fatal("short key string")
+		}
+	}
+}
+
 // BenchmarkEngineScanPrefix measures a range ("shower") scan streaming
 // roughly 1/16th of a 20k-pair store through the engine iterator.
 func BenchmarkEngineScanPrefix(b *testing.B) {

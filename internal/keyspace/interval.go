@@ -67,15 +67,11 @@ func (r Range) ContainsKey(k Key) bool {
 
 // OverlapsPath reports whether the range intersects the dyadic interval of
 // the given partition path. This is what a peer uses to decide whether it is
-// responsible for part of a range query.
+// responsible for part of a range query. The comparison runs on the keys'
+// 64-bit fractions, which float64 would round to 53 bits.
 func (r Range) OverlapsPath(p Path) bool {
-	iv := p.Interval()
-	lo := r.Lo.Float()
-	hi := 1.0
-	if !r.HiUnbounded {
-		hi = r.Hi.Float()
-	}
-	return lo < iv.Hi && iv.Lo < hi
+	lo, hi, top := p.bounds()
+	return (top || r.Lo.Bits < hi) && (r.HiUnbounded || lo < r.Hi.Bits)
 }
 
 // Paths enumerates, up to maxDepth, the minimal set of partition paths whose
@@ -88,14 +84,10 @@ func (r Range) Paths(maxDepth int) []Path {
 		if !r.OverlapsPath(p) {
 			return
 		}
-		iv := p.Interval()
-		lo := r.Lo.Float()
-		hi := 1.0
-		if !r.HiUnbounded {
-			hi = r.Hi.Float()
-		}
+		lo, hi, top := p.bounds()
+		covered := r.Lo.Bits <= lo && (r.HiUnbounded || (!top && r.Hi.Bits >= hi))
 		// Fully covered or at depth limit: emit the path itself.
-		if (lo <= iv.Lo && hi >= iv.Hi) || len(p) >= maxDepth {
+		if covered || len(p) >= maxDepth {
 			out = append(out, p)
 			return
 		}
@@ -104,4 +96,19 @@ func (r Range) Paths(maxDepth int) []Path {
 	}
 	walk(Root)
 	return out
+}
+
+// bounds returns the path's dyadic interval [lo, hi) as 64-bit binary
+// fractions, the scale of a key's left-aligned Bits; top reports that hi is
+// 1, which 64 bits cannot hold. Paths deeper than 64 bits are cut to their
+// first 64.
+func (p Path) bounds() (lo, hi uint64, top bool) {
+	n := min(len(p), 64)
+	for i := 0; i < n; i++ {
+		if p[i] == '1' {
+			lo |= 1 << (63 - i)
+		}
+	}
+	hi = lo + 1<<(64-n) // wraps to 0 exactly when the interval reaches 1
+	return lo, hi, hi == 0
 }

@@ -1,6 +1,7 @@
 package keyspace
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,41 @@ func TestRangePathsUnbounded(t *testing.T) {
 	// The path "1" alone covers [0.5,1).
 	if len(paths) != 1 || paths[0] != "1" {
 		t.Errorf("paths = %v, want [1]", paths)
+	}
+}
+
+// TestRangeOverlapsPathBeyondFloatPrecision pins the comparison to the keys'
+// 64 bits: [0 1^62 0, 0 1^63) lies wholly inside path 0, but its lower bound
+// rounds to exactly 0.5 as a float64, which once made the path look disjoint
+// and let a range query skip the sub-tree without reporting it incomplete.
+func TestRangeOverlapsPathBeyondFloatPrecision(t *testing.T) {
+	lo := MustFromString("0" + strings.Repeat("1", 62) + "0")
+	hi := MustFromString("0" + strings.Repeat("1", 63))
+	r := NewRange(lo, hi)
+	if lo.Float() != 0.5 {
+		t.Fatalf("lo.Float() = %v; the case needs a bound that rounds to 0.5", lo.Float())
+	}
+	for p, want := range map[Path]bool{"0": true, "01": true, "011": true, "1": false, "00": false} {
+		if got := r.OverlapsPath(p); got != want {
+			t.Errorf("OverlapsPath(%q) = %v, want %v", p, got, want)
+		}
+	}
+	paths := r.Paths(64)
+	if len(paths) == 0 {
+		t.Fatal("Paths found no partition for a non-empty range")
+	}
+	for _, p := range paths {
+		if !lo.HasPrefix(p) {
+			t.Errorf("Paths returned %q, which does not hold the range's only key %v", p, lo)
+		}
+	}
+	// The top of the key space: a bound of 1^64 is below 1.
+	top := NewRange(MustFromString(strings.Repeat("1", 63)+"0"), MustFromString(strings.Repeat("1", 64)))
+	if !top.OverlapsPath("1") || top.OverlapsPath("0") {
+		t.Error("range at the top of the key space: wrong overlap with the root's children")
+	}
+	if got := top.Paths(64); len(got) != 1 || got[0] != Path(strings.Repeat("1", 63)+"0") {
+		t.Errorf("Paths at the top of the key space = %v", got)
 	}
 }
 

@@ -247,7 +247,8 @@ type RangeResponse struct {
 	Items []replication.Item
 	// Hops is the maximal hop count over all branches of the query.
 	Hops int
-	// Partitions is the number of distinct partitions that contributed.
+	// Partitions is the number of partitions scanned for the range (see
+	// RangeResult.Partitions).
 	Partitions int
 	// Incomplete reports that some branch of the query could not be
 	// resolved (e.g. all references to a sub-tree were offline).

@@ -3,7 +3,8 @@ package overlay
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -302,7 +303,9 @@ type RangeResult struct {
 	Items []replication.Item
 	// Hops is the maximal hop count over the branches of the query.
 	Hops int
-	// Partitions is the number of distinct partitions that contributed.
+	// Partitions is the number of partitions whose peers scanned their
+	// store for the range. An entry peer whose own partition lies outside
+	// the range only forwards and does not count.
 	Partitions int
 	// Incomplete reports that some sub-tree of the range could not be
 	// reached.
@@ -317,7 +320,7 @@ type RangeResult struct {
 func (p *Peer) RangeQuery(ctx context.Context, r keyspace.Range) (RangeResult, error) {
 	req := RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: p.cfg.QueryTTL}
 	resp := p.handleRange(ctx, req)
-	items := dedupeItems(resp.Items)
+	items := DedupeItems(resp.Items)
 	p.Metrics.Queries.Add(1)
 	p.Metrics.QueryHops.Add(float64(resp.Hops))
 	return RangeResult{Items: items, Hops: resp.Hops, Partitions: resp.Partitions, Incomplete: resp.Incomplete}, nil
@@ -336,19 +339,23 @@ type rangeBranch struct {
 // arrive.
 func (p *Peer) handleRange(ctx context.Context, req RangeRequest) RangeResponse {
 	r := keyspace.Range{Lo: req.Lo, Hi: req.Hi, HiUnbounded: req.HiUnbounded}
-	out := RangeResponse{Hops: req.Hops, Partitions: 1}
-	// Stream the range straight off the storage engine (a disk-backed
-	// store never materialises its full pair set).
-	p.store.ScanRange(r, func(it replication.Item) bool {
-		out.Items = append(out.Items, it)
-		return true
-	})
+	out := RangeResponse{Hops: req.Hops}
+	path := p.Path()
+	// An entry peer outside the range only forwards. A peer inside streams
+	// its part straight off the storage engine (a disk-backed store never
+	// materialises its full pair set).
+	if r.OverlapsPath(path) {
+		out.Partitions = 1
+		p.store.ScanRange(r, func(it replication.Item) bool {
+			out.Items = append(out.Items, it)
+			return true
+		})
+	}
 	p.Metrics.QueryBytes.Add(float64(out.WireSize()))
 	if req.TTL <= 0 {
 		out.Incomplete = true
 		return out
 	}
-	path := p.Path()
 	var branches []rangeBranch
 	for level := 0; level < path.Depth(); level++ {
 		sub := path.FlipAt(level)
@@ -424,26 +431,29 @@ func (p *Peer) forwardRangeBranch(ctx context.Context, br rangeBranch) (RangeRes
 	return RangeResponse{}, false
 }
 
-// dedupeItems removes duplicate (key, value) pairs (replicas can return the
-// same item via different branches) and sorts by key. The input slice is
-// left untouched: results may alias a response buffer the caller still
-// reads.
-func dedupeItems(items []replication.Item) []replication.Item {
-	seen := make(map[string]bool, len(items))
+// DedupeItems removes duplicate (key, value) pairs (replicas can return the
+// same item via different branches) and sorts by key, then value. The input
+// slice is left untouched: results may alias a response buffer the caller
+// still reads.
+func DedupeItems(items []replication.Item) []replication.Item {
+	type pair struct {
+		key   keyspace.Key
+		value string
+	}
+	seen := make(map[pair]struct{}, len(items))
 	out := make([]replication.Item, 0, len(items))
 	for _, it := range items {
-		k := it.Key.String() + "\x00" + it.Value
-		if !seen[k] {
-			seen[k] = true
+		k := pair{it.Key, it.Value}
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
 			out = append(out, it)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		c := out[i].Key.Compare(out[j].Key)
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(a, b replication.Item) int {
+		if c := a.Key.Compare(b.Key); c != 0 {
+			return c
 		}
-		return out[i].Value < out[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
 	return out
 }

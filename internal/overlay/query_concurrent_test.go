@@ -15,7 +15,7 @@ import (
 )
 
 // TestDedupeItemsDoesNotMutateInput is the regression test for the aliasing
-// bug where dedupeItems built its output with items[:0], overwriting the
+// bug where DedupeItems built its output with items[:0], overwriting the
 // caller's backing array (a response buffer other readers still held).
 func TestDedupeItemsDoesNotMutateInput(t *testing.T) {
 	k1 := keyspace.MustFromString("0101")
@@ -27,10 +27,10 @@ func TestDedupeItemsDoesNotMutateInput(t *testing.T) {
 		{Key: k1, Value: "a"},
 	}
 	orig := append([]replication.Item(nil), items...)
-	out := dedupeItems(items)
+	out := DedupeItems(items)
 	for i := range items {
 		if items[i] != orig[i] {
-			t.Fatalf("dedupeItems mutated its input at %d: %+v != %+v", i, items[i], orig[i])
+			t.Fatalf("DedupeItems mutated its input at %d: %+v != %+v", i, items[i], orig[i])
 		}
 	}
 	if len(out) != 2 {
@@ -43,6 +43,37 @@ func TestDedupeItemsDoesNotMutateInput(t *testing.T) {
 	out[0].Value = "mutated"
 	if items[0].Value == "mutated" || items[1].Value == "mutated" {
 		t.Error("output aliases the input slice")
+	}
+}
+
+// TestRangeEntryPeerOutsideRange checks that a peer whose own partition
+// lies outside a range only forwards it: it neither scans its store (a
+// leftover pair it still holds must not leak into the answer) nor counts
+// itself among the partitions that answered.
+func TestRangeEntryPeerOutsideRange(t *testing.T) {
+	sim := network.NewSim(network.SimConfig{Seed: 32})
+	cfg := Config{MaxKeys: 100, MinReplicas: 1, Seed: 32}
+	entry := New(cfg, sim.Endpoint("entry"))
+	holder := New(cfg, sim.Endpoint("holder"))
+	entry.Table().SetPath("1")
+	holder.Table().SetPath("0")
+	entry.Table().Add(0, refFor(holder))
+
+	in := replication.Item{Key: keyspace.MustFromString("0010"), Value: "in"}
+	leftover := replication.Item{Key: keyspace.MustFromString("0011"), Value: "leftover"}
+	holder.AddItems([]replication.Item{in})
+	entry.AddItems([]replication.Item{leftover})
+
+	r := keyspace.NewRange(keyspace.MustFromString("0"), keyspace.MustFromString("01"))
+	res, err := entry.RangeQuery(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 1 || res.Items[0].Value != "in" {
+		t.Errorf("items = %+v, want only the holder's item", res.Items)
+	}
+	if res.Partitions != 1 || res.Hops != 1 || res.Incomplete {
+		t.Errorf("partitions=%d hops=%d incomplete=%v, want 1, 1, false", res.Partitions, res.Hops, res.Incomplete)
 	}
 }
 

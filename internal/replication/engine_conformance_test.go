@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"pgrid/internal/keyspace"
@@ -599,5 +601,239 @@ func TestStoreMutationDedupSurvivesRestart(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// engineShadow is the sort-on-read reference the ordering tests compare an
+// engine against: a flat map of the live pairs, sorted only when read.
+type engineShadow map[[2]string]PairRecord
+
+func (sh engineShadow) has(key, value string) bool {
+	_, ok := sh[[2]string{key, value}]
+	return ok
+}
+
+func (sh engineShadow) put(eng Engine, rec PairRecord) {
+	eng.Put(rec, !sh.has(rec.Key, rec.Value))
+	sh[[2]string{rec.Key, rec.Value}] = rec
+}
+
+func (sh engineShadow) del(t *testing.T, eng Engine, key, value string) {
+	t.Helper()
+	if _, ok := eng.Delete(key, value); ok != sh.has(key, value) {
+		t.Fatalf("delete(%q, %q) = %v, the shadow disagrees", key, value, ok)
+	}
+	delete(sh, [2]string{key, value})
+}
+
+// scan returns the records under prefix (exact key only when exact is set)
+// in (key, value) order.
+func (sh engineShadow) scan(prefix string, exact bool) []PairRecord {
+	var out []PairRecord
+	for _, rec := range sh {
+		if (exact && rec.Key == prefix) || (!exact && hasPrefix(rec.Key, prefix)) {
+			out = append(out, rec)
+		}
+	}
+	slices.SortFunc(out, func(a, b PairRecord) int {
+		if pairLess(a.Key, a.Value, b.Key, b.Value) {
+			return -1
+		}
+		return 1
+	})
+	return out
+}
+
+// collect runs a prefix (or exact-key) scan into a slice.
+func collect(eng Engine, prefix string, exact bool) []PairRecord {
+	var out []PairRecord
+	scan := eng.ScanPrefix
+	if exact {
+		scan = eng.ScanKey
+	}
+	scan(prefix, func(rec PairRecord) bool {
+		out = append(out, rec)
+		return true
+	})
+	return out
+}
+
+// diffScans reports the first difference between every prefix and exact-key
+// scan of the engine and the shadow over the given probes.
+func (sh engineShadow) diffScans(eng Engine, probes []string) error {
+	for _, p := range probes {
+		for _, exact := range []bool{false, true} {
+			if got, want := collect(eng, p, exact), sh.scan(p, exact); !slices.Equal(got, want) {
+				return fmt.Errorf("scan(%q, exact=%v) = %v, want %v", p, exact, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// orderProbes are the prefixes the ordering tests scan: the root, the keys
+// they write and their neighbours.
+var orderProbes = []string{"", "0", "01", "010", "0101", "01010", "011", "1", "10"}
+
+// TestEngineConformanceBucketOrder checks ScanPrefix and ScanKey order on
+// one key's bucket as it is disturbed: values put out of order, a
+// swap-delete from the middle, and the key emptied and created again.
+func TestEngineConformanceBucketOrder(t *testing.T) {
+	for kind, mk := range conformanceEngines() {
+		t.Run(kind, func(t *testing.T) {
+			eng, sh := mk(t), engineShadow{}
+			check := func(step string) {
+				t.Helper()
+				if err := sh.diffScans(eng, orderProbes); err != nil {
+					t.Fatalf("after %s: %v", step, err)
+				}
+			}
+			sh.put(eng, PairRecord{Key: "01", Value: "x", Ver: 1})
+			sh.put(eng, PairRecord{Key: "011", Value: "y", Ver: 2})
+			for i, v := range []string{"v5", "v1", "v9", "v3", "v0", "v7"} {
+				sh.put(eng, PairRecord{Key: "0101", Value: v, Ver: uint64(10 + i)})
+			}
+			check("out-of-order puts")
+			sh.put(eng, PairRecord{Key: "0101", Value: "v3", Gen: 4, Ver: 20})
+			check("an overwrite")
+			sh.del(t, eng, "0101", "v1")
+			check("a swap-delete from the middle")
+			sh.put(eng, PairRecord{Key: "0101", Value: "v2", Ver: 21})
+			sh.del(t, eng, "0101", "v9")
+			check("a put and a delete in one batch")
+			for _, v := range []string{"v0", "v2", "v3", "v5", "v7"} {
+				sh.del(t, eng, "0101", v)
+			}
+			check("emptying the key")
+			for i, v := range []string{"w4", "w2", "w8"} {
+				sh.put(eng, PairRecord{Key: "0101", Value: v, Ver: uint64(30 + i)})
+			}
+			check("recreating the key")
+			sh.del(t, eng, "0101", "w2")
+			sh.del(t, eng, "0101", "w4")
+			sh.del(t, eng, "0101", "w8")
+			sh.put(eng, PairRecord{Key: "0101", Value: "z", Ver: 40})
+			check("emptying and recreating the key between two reads")
+		})
+	}
+}
+
+// TestEngineConformanceConcurrentReadersAfterWrite starts many readers
+// right after each batch of writes, so they race for whatever work the
+// engine left for the first read; under -race this checks that lazy
+// normalisation is safe under the Engine contract (writes never overlap
+// reads, reads overlap each other).
+func TestEngineConformanceConcurrentReadersAfterWrite(t *testing.T) {
+	for kind, mk := range conformanceEngines() {
+		t.Run(kind, func(t *testing.T) {
+			eng, sh := mk(t), engineShadow{}
+			rng := rand.New(rand.NewSource(11))
+			for round := 0; round < 20; round++ {
+				for i := 0; i < 8; i++ {
+					key := fmt.Sprintf("%06b", rng.Intn(64))[:1+rng.Intn(6)]
+					value := fmt.Sprintf("v%d", rng.Intn(10))
+					if rng.Intn(3) == 0 {
+						sh.del(t, eng, key, value)
+					} else {
+						sh.put(eng, PairRecord{Key: key, Value: value, Ver: uint64(round*8 + i)})
+					}
+				}
+				probes := append([]string{"01", "1"}, orderProbes...)
+				errs := make(chan error, 8)
+				var wg sync.WaitGroup
+				for r := 0; r < 8; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						p := probes[r%len(probes)]
+						if _, ok := eng.Get(p, "v1"); ok != sh.has(p, "v1") {
+							errs <- fmt.Errorf("get(%q, v1) = %v", p, ok)
+							return
+						}
+						if err := sh.diffScans(eng, probes[r%len(probes):]); err != nil {
+							errs <- err
+						}
+					}(r)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineConformanceRandomOpsSortOnRead drives each engine through a
+// random sequence of puts, overwrites and deletes, with scans interleaved
+// at random, and compares every scan with the sort-on-read reference.
+func TestEngineConformanceRandomOpsSortOnRead(t *testing.T) {
+	for kind, mk := range conformanceEngines() {
+		t.Run(kind, func(t *testing.T) {
+			eng, sh := mk(t), engineShadow{}
+			rng := rand.New(rand.NewSource(5))
+			for step := 0; step < 3000; step++ {
+				key := fmt.Sprintf("%05b", rng.Intn(32))[:1+rng.Intn(5)]
+				value := fmt.Sprintf("v%02d", rng.Intn(20))
+				switch op := rng.Intn(10); {
+				case op < 5:
+					sh.put(eng, PairRecord{Key: key, Value: value, Gen: uint64(rng.Intn(4)), Ver: uint64(step)})
+				case op < 8:
+					sh.del(t, eng, key, value)
+				default:
+					if err := sh.diffScans(eng, []string{"", key, key[:len(key)/2]}); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
+				if eng.Len() != len(sh) {
+					t.Fatalf("step %d: len = %d, want %d", step, eng.Len(), len(sh))
+				}
+			}
+			if err := sh.diffScans(eng, orderProbes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStoreKeysAndItemsOrdered checks that Store.Keys and Store.Items come
+// back in key order straight from the engine stream, with shorter keys
+// before their extensions, on both engines.
+func TestStoreKeysAndItemsOrdered(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			s := newTestStoreKind(t, kind)
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 300; i++ {
+				k := keyspace.MustFromString(fmt.Sprintf("%08b", rng.Intn(256))[:1+rng.Intn(8)])
+				s.Add(Item{Key: k, Value: fmt.Sprintf("v%d", rng.Intn(6))})
+			}
+			items := s.Items()
+			if len(items) != s.Len() {
+				t.Fatalf("Items returned %d, want %d", len(items), s.Len())
+			}
+			for i := 1; i < len(items); i++ {
+				a, b := items[i-1], items[i]
+				if c := a.Key.Compare(b.Key); c > 0 || (c == 0 && a.Value >= b.Value) {
+					t.Fatalf("Items out of order at %d: %v/%s then %v/%s", i, a.Key, a.Value, b.Key, b.Value)
+				}
+			}
+			keys := s.Keys()
+			for i := 1; i < len(keys); i++ {
+				if keys[i-1].Compare(keys[i]) >= 0 {
+					t.Fatalf("Keys out of order at %d: %v then %v", i, keys[i-1], keys[i])
+				}
+			}
+			distinct := 0
+			for i := range items {
+				if i == 0 || !items[i].Key.Equal(items[i-1].Key) {
+					distinct++
+				}
+			}
+			if len(keys) != distinct {
+				t.Errorf("Keys returned %d keys, Items hold %d distinct", len(keys), distinct)
+			}
+		})
 	}
 }

@@ -851,7 +851,7 @@ func (s *Store) Len() int {
 	return s.eng.Len()
 }
 
-// Keys returns the distinct keys present in the store.
+// Keys returns the distinct keys present in the store, in key order.
 func (s *Store) Keys() keyspace.Keys {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -864,7 +864,6 @@ func (s *Store) Keys() keyspace.Keys {
 		}
 		return true
 	})
-	out.Sort()
 	return out
 }
 
@@ -877,7 +876,6 @@ func (s *Store) Items() []Item {
 		return true
 	})
 	s.mu.RUnlock()
-	sortItems(out)
 	return out
 }
 
@@ -937,15 +935,26 @@ func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// Records arrive grouped by key, so each distinct key is parsed and
+	// bounds-checked once. (One struct: the closure's state costs one
+	// allocation, not one per variable.)
+	var cur struct {
+		ks              string
+		k               keyspace.Key
+		parsed, inRange bool
+	}
 	s.eng.ScanPrefix(prefix, func(rec PairRecord) bool {
-		k := keyspace.MustFromString(rec.Key)
-		if k.Compare(r.Lo) < 0 {
+		if !cur.parsed || rec.Key != cur.ks {
+			cur.ks, cur.k, cur.parsed = rec.Key, keyspace.MustFromString(rec.Key), true
+			if !r.HiUnbounded && cur.k.Compare(r.Hi) >= 0 {
+				return false // scan order matches key order: nothing further fits
+			}
+			cur.inRange = cur.k.Compare(r.Lo) >= 0
+		}
+		if !cur.inRange {
 			return true
 		}
-		if !r.HiUnbounded && k.Compare(r.Hi) >= 0 {
-			return false // scan order matches key order: nothing further fits
-		}
-		return fn(Item{Key: k, Value: rec.Value, Gen: rec.Gen})
+		return fn(Item{Key: cur.k, Value: rec.Value, Gen: rec.Gen})
 	})
 }
 
